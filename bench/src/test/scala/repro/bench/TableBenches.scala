@@ -55,7 +55,7 @@ class Table5ComputeIntensiveBench extends SparkSpec {
   }
 }
 
-/** Table 6 (paper §5.5): distributed algorithms over Dataset[BlockRow]. */
+/** Table 6 (paper §5.5): distributed algorithms over cached block RDDs. */
 class Table6DistributedBench extends SparkSpec {
   test("Table 6: runtime of distributed algorithms") {
     val rows = Benchmarks.table6(spark)

@@ -71,6 +71,11 @@ object MLogreg {
       b = scaleAdd(b, d, step)
       iter += 1
     }
+    // Y1 is this run's own copy; the caller's X stays cached
+    y1Data match {
+      case DistData(dm) => dm.blocks.unpersist(blocking = false)
+      case _            =>
+    }
     AlgoRun("MLogreg", iter, loss)
   }
 

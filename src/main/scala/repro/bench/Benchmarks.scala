@@ -194,7 +194,7 @@ object Benchmarks {
     als ++ ae
   }
 
-  /** Table 6: distributed algorithms (X as Dataset[BlockRow] on Spark). */
+  /** Table 6: distributed algorithms (X as a cached block RDD on Spark). */
   def table6(spark: SparkSession, scale: Int = 1): Seq[RuntimeRow] = {
     val blockSize = 4096
     val datasets = Seq(

@@ -139,22 +139,21 @@ object HandCoded {
     case HSumSq => inputs.head match {
       case LocalData(x) => LocalData(sumSqLocal(x))
       case DistData(x)  =>
-        val p = x.ds.map(br => sumSqLocal(br.block).get(0, 0))(org.apache.spark.sql.Encoders.scalaDouble)
-        LocalData(MatrixBlock.dense(1, 1, Array(p.reduce(_ + _))))
+        LocalData(MatrixBlock.dense(1, 1, Array(x.blocks.values.map(sumSqLocal(_).get(0, 0)).reduce(_ + _))))
     }
     case HSumProd => (inputs(0), inputs(1)) match {
       case (LocalData(x), LocalData(y)) => LocalData(sumProdLocal(x, y))
       case (DistData(x), DistData(y)) =>
-        val p = DistOps.cogroupByRbi(Seq(x.ds, y.ds))
-          .map { case (_, bs) => sumProdLocal(bs(0), bs(1)).get(0, 0) }(org.apache.spark.sql.Encoders.scalaDouble)
+        val p = DistOps.joinBlocks(x, y).values.map { case (a, b) => sumProdLocal(a, b).get(0, 0) }
         LocalData(MatrixBlock.dense(1, 1, Array(p.reduce(_ + _))))
       case (DistData(x), LocalData(y)) =>
-        val bc = x.ds.sparkSession.sparkContext.broadcast(y)
         val bs = x.blockSize
-        val p = x.ds.map { br =>
-          sumProdLocal(br.block, LocalOps.rowSlice(bc.value, br.rbi * bs, br.rbi * bs + br.rows)).get(0, 0)
-        }(org.apache.spark.sql.Encoders.scalaDouble)
-        LocalData(MatrixBlock.dense(1, 1, Array(p.reduce(_ + _))))
+        val sum = DistOps.withBroadcast(x.blocks.sparkContext, y) { bc =>
+          x.blocks.map { case (rbi, blk) =>
+            sumProdLocal(blk, LocalOps.rowSlice(bc.value, rbi * bs, rbi * bs + blk.rows)).get(0, 0)
+          }.reduce(_ + _)
+        }
+        LocalData(MatrixBlock.dense(1, 1, Array(sum)))
       case _ => throw new UnsupportedOperationException("sumProd local-dist")
     }
     case HWSLoss =>
@@ -195,15 +194,15 @@ object HandCoded {
   }
 
   def mmchainDist(x: DistMatrix, v: MatrixBlock, w: Option[MatrixBlock]): MatrixBlock = {
-    val sc = x.ds.sparkSession.sparkContext
-    val bv = sc.broadcast(v)
-    val bw = sc.broadcast(w)
     val bs = x.blockSize
-    val partials = x.ds.map { br =>
-      val wSlice = bw.value.map(wb => LocalOps.rowSlice(wb, br.rbi * bs, br.rbi * bs + br.rows))
-      mmchainLocal(br.block, bv.value, wSlice).toDense.values
-    }(DistOps.doubleArrEnc)
-    new DenseBlock(x.cols.toInt, 1, partials.reduce { (p, q) => VectorPrims.vectAdd(q, p); p })
+    val sum = DistOps.withBroadcast(x.blocks.sparkContext, (v, w)) { bvw =>
+      DistOps.sumPartials(x.blocks.map { case (rbi, blk) =>
+        val (bv, bw) = bvw.value
+        val wSlice = bw.map(wb => LocalOps.rowSlice(wb, rbi * bs, rbi * bs + blk.rows))
+        mmchainLocal(blk, bv, wSlice).toDense.values
+      })
+    }
+    new DenseBlock(x.cols.toInt, 1, sum)
   }
 
   def sumSqLocal(x: MatrixBlock): MatrixBlock = {

@@ -1,16 +1,15 @@
 package repro.dist
 
-import org.apache.spark.sql.Encoders
 import repro.compiler._
 import repro.runtime._
 import repro.runtime.Ops._
 
 /** Distributed execution of generated fused operators: the main input is a
-  * row-blocked [[DistMatrix]]; the compiled skeleton runs per partition
-  * block via the Dataset API (`mapGroups` after rbi-alignment of
-  * distributed side inputs), with local side inputs broadcast and sliced
-  * per block when row-aligned. Aggregating variants reduce per-block
-  * partials at the driver (paper §2.2 local and distributed operations).
+  * row-blocked [[DistMatrix]]; the compiled skeleton runs per row block,
+  * with distributed side inputs joined by rbi (co-partitioned, so no
+  * shuffle) and local side inputs broadcast and sliced per block when
+  * row-aligned. Aggregating variants reduce per-block partials at the
+  * driver (paper §2.2 local and distributed operations).
   */
 object DistTemplates {
 
@@ -24,7 +23,6 @@ object DistTemplates {
     val main = datas(0).swap.getOrElse(throw new IllegalArgumentException("main input must be distributed"))
     val mainRows = main.rows
     val blockSize = main.blockSize
-    val spark = main.ds.sparkSession
     require(!main.transposed, "fused main input must not be a transposed view")
 
     // which inputs are row-aligned with the main input's rows
@@ -44,15 +42,13 @@ object DistTemplates {
 
     val distIdx = datas.zipWithIndex.collect { case (Left(_), i) if i > 0 => i }
     val localBlocks = datas.zipWithIndex.collect { case (Right(b), i) => i -> b }.toMap
-    val bcLocals = spark.sparkContext.broadcast(localBlocks)
+    val bcLocals = main.blocks.sparkContext.broadcast(localBlocks)
     val alignedFlags = cplan.inputs.zipWithIndex.map { case (h, i) => rowAligned(i, h) }
 
-    // no distributed sides -> plain map over the main blocks (no shuffle)
-    val grouped =
-      if (distIdx.isEmpty)
-        main.ds.map(br => (br.rbi, IndexedSeq(br.block)))(
-          org.apache.spark.sql.Encoders.javaSerialization[(Int, IndexedSeq[MatrixBlock])])
-      else DistOps.cogroupByRbi(main.ds +: distIdx.map(i => datas(i).swap.toOption.get.ds))
+    // distributed sides share the main input's rbi partitioner: narrow joins
+    val grouped = distIdx.foldLeft(main.blocks.mapValues(IndexedSeq(_))) { (acc, i) =>
+      acc.join(datas(i).swap.toOption.get.blocks).mapValues { case (bs, b) => bs :+ b }
+    }
     val nInputs = cplan.inputs.length
     val distPos = distIdx.zipWithIndex.map { case (inputIdx, k) => inputIdx -> (k + 1) }.toMap
 
@@ -72,15 +68,14 @@ object DistTemplates {
 
     outputKind(spoof, cplan) match {
       case BlockAligned(outCols, outSparsity) =>
-        val out = grouped.map { case (rbi, blocks) =>
-          BlockRow(rbi, executeSingle(spoof, assemble(rbi, blocks)))
-        }(DistOps.blockRowEnc)
+        // lazy output: keeps its broadcast, since it may be recomputed
+        val out = DistOps.mapWithRbi(grouped)((rbi, blocks) => executeSingle(spoof, assemble(rbi, blocks)))
         Left(DistMatrix(out, mainRows, outCols, blockSize, outSparsity))
       case ReduceBlocks(outRows, outCols, combine) =>
         val partials = grouped.map { case (rbi, blocks) =>
           executeSingle(spoof, assemble(rbi, blocks)).toDense.values
-        }(DistOps.doubleArrEnc)
-        val res = partials.reduce(combine)
+        }
+        val res = try partials.reduce(combine) finally bcLocals.destroy()
         Right(new DenseBlock(outRows, outCols, res))
     }
   }

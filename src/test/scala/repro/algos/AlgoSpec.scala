@@ -96,6 +96,18 @@ class AlgoSpec extends SparkSpec {
     assert(math.abs(dRun.loss - lRun.loss) <= 1e-5 * math.max(1.0, lRun.loss))
   }
 
+  test("distributed MLogreg releases the blocks it distributes") {
+    val cfg = CostConfig(localMemBudget = 8L << 10, distLatencyS = 0.0)
+    val dCtx = new ExecContext(GenMode(CostBased), cfg, Some(spark), 64)
+    val dist = DistOps.fromLocal(spark, x2, 64)
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val dRun = MLogreg.run(dCtx, DistData(dist), LocalData(yMulti), maxIter = 2, innerIter = 2)
+    val lRun = MLogreg.run(new ExecContext(BaseMode), LocalData(x2), LocalData(yMulti), maxIter = 2, innerIter = 2)
+    assert(math.abs(dRun.loss - lRun.loss) <= 1e-5 * math.max(1.0, lRun.loss))
+    assert((spark.sparkContext.getPersistentRDDs.keySet -- before).isEmpty)
+    assert(spark.sparkContext.getPersistentRDDs.contains(dist.blocks.id))
+  }
+
   test("data generators are deterministic") {
     assert(MatrixBlock.maxAbsDiff(AlgoData.denseFeatures(50, 5), AlgoData.denseFeatures(50, 5)) == 0.0)
     assert(MatrixBlock.maxAbsDiff(AlgoData.labels2(x2), AlgoData.labels2(x2)) == 0.0)

@@ -1,13 +1,17 @@
 package repro.dist
 
+import scala.collection.mutable
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.rdd.RDD
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestLA}
 import repro.compiler._
 import repro.core._
 import repro.runtime._
 import repro.runtime.Ops._
 
-/** Distributed runtime: basic Dataset[BlockRow] operators against local
-  * kernels, and fused distributed execution (mapGroups over row blocks)
+/** Distributed runtime: basic operators over rbi-partitioned block RDDs
+  * against local kernels, and fused distributed execution (per row block)
   * against local fused execution. */
 class DistSpec extends SparkSpec {
 
@@ -74,6 +78,73 @@ class DistSpec extends SparkSpec {
       assert(MatrixBlock.maxAbsDiff(DistOps.fullAgg(f, a), LocalOps.agg(f, FullDir, xDense)) < 1e-9)
       assert(MatrixBlock.maxAbsDiff(DistOps.colAgg(f, a), LocalOps.agg(f, ColDir, xDense)) < 1e-9)
       assert(MatrixBlock.maxAbsDiff(DistOps.toLocal(DistOps.rowAgg(f, a)), LocalOps.agg(f, RowDir, xDense)) < 1e-9)
+    }
+  }
+
+  /** Ids of every shuffle in the lineage of `rdd`. */
+  private def shuffleIds(rdd: RDD[_]): Set[Int] = {
+    val seen = mutable.Set[Int]()
+    def walk(r: RDD[_]): Set[Int] =
+      if (!seen.add(r.id)) Set.empty
+      else r.dependencies.flatMap {
+        case s: ShuffleDependency[_, _, _] => walk(s.rdd) + s.shuffleId
+        case d                             => walk(d.rdd)
+      }.toSet
+    walk(rdd)
+  }
+
+  test("co-partitioned operators shuffle nothing beyond their inputs' partitionBy") {
+    val a = DistOps.fromLocal(spark, xDense, blockSize)
+    val b = DistOps.fromLocal(spark, xSparse, blockSize)
+    assert(a.blocks.getStorageLevel == StorageLevel.MEMORY_ONLY)
+    val inputs = shuffleIds(a.blocks) ++ shuffleIds(b.blocks)
+    assert(inputs.size == 2)
+    // operands already mapped by block-aligned operators must stay aligned
+    val a1 = DistOps.binaryDistLocal(Mult, a, MatrixBlock.rand(100, 1, 1.0, 21))
+    val b1 = DistOps.unary(Abs, b)
+    assert(shuffleIds(DistOps.binaryDistDist(Plus, a1, b1).blocks) == inputs)
+    assert(shuffleIds(DistOps.transposeLeftPartials(a1, b1)) == inputs)
+
+    val ctx = distCtx()
+    implicit val c: ExecContext = ctx
+    val root = (ctx.bindDist("X", a) * ctx.bindDist("Y", b) + 1.0).exp
+    val plan = ctx.compilePlan(Seq(root.hop))
+    assert(plan.ops.exists(_.isInstanceOf[PFused]), plan.toString)
+    val DistData(out) = ctx.eval(Seq(root)).head: @unchecked
+    assert(shuffleIds(out.blocks) == inputs)
+    assert(out.blocks.partitioner == a.blocks.partitioner)
+    assert(MatrixBlock.maxAbsDiff(DistOps.toLocal(out),
+      LocalOps.unary(Exp, LocalOps.binary(Plus, LocalOps.binary(Mult, xDense, xSparse),
+        MatrixBlock.dense(1, 1, Array(1.0))))) < 1e-12)
+  }
+
+  test("more row blocks than partitions, 1-row tail block: round trip, Row and MAgg equal local Base") {
+    val x0 = MatrixBlock.rand(151, 6, 1.0, 17, min = -1, max = 1)
+    val dm = DistOps.fromLocal(spark, x0, 2)
+    assert(dm.blocks.getNumPartitions == 64)
+    assert(dm.blocks.count() == 76)
+    assert(MatrixBlock.maxAbsDiff(DistOps.toLocal(dm), x0) == 0.0)
+
+    val p0 = MatrixBlock.rand(151, 3, 1.0, 18, min = 0.1, max = 1)
+    val v0 = MatrixBlock.rand(6, 3, 1.0, 19, min = -1, max = 1)
+    val y0 = MatrixBlock.rand(151, 6, 1.0, 20, min = -1, max = 1)
+    def build(ctx: ExecContext, x: MX): Seq[MX] = {
+      implicit val c: ExecContext = ctx
+      val p = ctx.bindLocal("P", p0)
+      val q = p * (x %*% ctx.bindLocal("V", v0))
+      val y = ctx.bindLocal("Y", y0)
+      Seq(x.t %*% (q - p * q.rowSums), (x ^ 2.0).sum, (x * y).sum)
+    }
+    val dCtx = new ExecContext(GenMode(CostBased),
+      CostConfig(localMemBudget = 4L << 10, distLatencyS = 0.0), Some(spark), 2)
+    val dRoots = build(dCtx, dCtx.bindDist("X", dm))
+    val plan = dCtx.compilePlan(dRoots.map(_.hop))
+    assert(plan.ops.exists { case PFused(s) => s.tpe == RowTpl; case _ => false }, plan.toString)
+    assert(plan.ops.exists(_.isInstanceOf[PMultiAgg]), plan.toString)
+    val lCtx = new ExecContext(BaseMode)
+    val expect = lCtx.eval(build(lCtx, lCtx.bindLocal("X", x0))).map(_.toLocal)
+    dCtx.eval(dRoots).map(_.toLocal).zip(expect).foreach { case (g, e) =>
+      assert(MatrixBlock.maxAbsDiff(g, e) < 1e-9)
     }
   }
 
