@@ -159,7 +159,7 @@ object Benchmarks {
   def table5(scale: Int = 1): Seq[RuntimeRow] = {
     val local = (m: ExecMode) => new ExecContext(m)
     // Base/FA/FNR materialize the dense n x m intermediate: infeasible
-    // beyond ~3e7 cells on this box (paper: "N/A")
+    // beyond 2e7 cells (a fixed threshold, not a measured failure; paper: "N/A")
     def naAbove(cells: Long)(label: String): Boolean =
       cells > 20_000_000L && (label == "Base" || label == "Gen-FA" || label == "Gen-FNR")
 

@@ -19,7 +19,8 @@ object Selector {
   /** Safety cap on interesting points per (sub-)problem (1024 plans before
     * pruning). Beyond the cap the tail points keep the opening heuristic's
     * assignment (false = fused), mirroring the paper's reliance on
-    * partitioning keeping per-partition point counts small. */
+    * partitioning keeping per-partition point counts small. Dropped points
+    * are counted in [[CodegenStats.pointsCapped]]. */
   val MaxPoints = 10
 
   /** Selection cache: optimal materialization decisions per structural DAG
@@ -114,6 +115,7 @@ object Selector {
     // cap the per-partition search space; tail points stay fused (opening
     // heuristic assignment)
     val capped = p.copy(points = p.points.take(MaxPoints))
+    CodegenStats.pointsCapped.addAndGet(p.points.length - capped.points.length)
     val layout = orderByCutSet(memo, capped)
     val q = mpSkipEnum(dagRoots, memo, capped, cfg, layout.points, layout.cutSet, forced = Set.empty)
     layout.points.zipWithIndex.collect { case (pt, i) if q(i) => pt.edge }.toSet

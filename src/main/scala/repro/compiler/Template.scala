@@ -56,7 +56,7 @@ object TemplateType {
     case _         => false
   }
 
-  /** X %*% v with a narrow rhs: executed per row of X (vectMatMult). */
+  /** X %*% v with a narrow rhs: executed per row of X (vectMatMultWrite). */
   def isNarrowMatMul(h: Hop): Boolean = h match {
     case m: MatMulHop =>
       !m.left.isInstanceOf[TransposeHop] && m.left.rows > 1 &&
@@ -160,7 +160,7 @@ case object RowTpl extends TemplateType {
   }
 
   def merge(h: Hop, in: Hop): Boolean = h match {
-    // matmult rhs side inputs are materialized (vectMatMult reads them
+    // matmult rhs side inputs are materialized (vectMatMultWrite reads them
     // whole); only the row-aligned sides may merge
     case m: MatMulHop if isNarrowMatMul(m)        => m.left eq in
     case m: MatMulHop if isTransposeLeftMatMul(m) => (m.left eq in) || (m.right eq in)

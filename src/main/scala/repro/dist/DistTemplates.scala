@@ -69,24 +69,16 @@ object DistTemplates {
     outputKind(spoof, cplan) match {
       case BlockAligned(outCols, outSparsity) =>
         // lazy output: keeps its broadcast, since it may be recomputed
-        val out = DistOps.mapWithRbi(grouped)((rbi, blocks) => executeSingle(spoof, assemble(rbi, blocks)))
+        val out = DistOps.mapWithRbi(grouped)((rbi, blocks) => spoof.execute(assemble(rbi, blocks)))
         Left(DistMatrix(out, mainRows, outCols, blockSize, outSparsity))
       case ReduceBlocks(outRows, outCols, combine) =>
         val partials = grouped.map { case (rbi, blocks) =>
-          executeSingle(spoof, assemble(rbi, blocks)).toDense.values
+          spoof.execute(assemble(rbi, blocks)).toDense.values
         }
         val res = try partials.reduce(combine) finally bcLocals.destroy()
         Right(new DenseBlock(outRows, outCols, res))
     }
   }
-
-  private def executeSingle(spoof: SpoofOperator, inputs: IndexedSeq[MatrixBlock]): MatrixBlock =
-    spoof match {
-      case c: SpoofCellwise     => c.executeSingle(inputs)
-      case m: SpoofMultiAgg     => m.executeSingle(inputs)
-      case r: SpoofRowwise      => r.executeSingle(inputs)
-      case o: SpoofOuterProduct => o.executeSingle(inputs)
-    }
 
   private sealed trait OutKind
   private final case class BlockAligned(cols: Long, sparsity: Double) extends OutKind

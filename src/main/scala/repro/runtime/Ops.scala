@@ -1,7 +1,8 @@
 package repro.runtime
 
-/** Scalar operator semantics shared by the HOP IR, the interpreter
-  * ("Base" execution), and generated fused operators.
+/** Scalar operator semantics shared by the HOP IR and the interpreter
+  * ("Base" execution); [[repro.compiler.Codegen]] emits the same semantics
+  * as Java for generated fused operators.
   *
   * Sparse-safety follows the paper's terminology: an op is sparse-safe
   * w.r.t. an input if a zero in that input forces a zero output, so a

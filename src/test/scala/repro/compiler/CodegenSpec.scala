@@ -239,6 +239,45 @@ class CodegenSpec extends SparkSpec {
     }
   }
 
+  // ---- generated operators ship as (class name, source) ------------------
+  test("a serialized Row operator runs on another thread with its own instance") {
+    val ctx = new ExecContext(GenMode(CostBased))
+    implicit val c: ExecContext = ctx
+    val xb = dense(50, 8, 24); val pb = pos(50, 4, 25); val vb = dense(8, 4, 26)
+    val x = ctx.bindLocal("X", xb)
+    val p = ctx.bindLocal("P", pb)
+    val v = ctx.bindLocal("V", vb)
+    val q = p * (x %*% v)
+    val plan = ctx.compilePlan(Seq((x.t %*% (q - p * q.rowSums)).hop))
+    val spec = plan.ops.collectFirst { case PFused(s) if s.tpe == RowTpl => s }
+      .getOrElse(fail(s"no Row operator in\n$plan"))
+    val cplan = CPlan.construct(spec)
+    val op = Codegen.compile(cplan).asInstanceOf[SpoofRowwise]
+    assert(op.exec.source.contains("private double[]"), "Row class should hold ring-buffer fields")
+    val leaves = Map(x.hop.id -> xb, p.hop.id -> pb, v.hop.id -> vb)
+    val inputs = cplan.inputs.map {
+      case l: LitHop => MatrixBlock.dense(1, 1, Array(l.value))
+      case h         => leaves(h.id)
+    }
+
+    val bytes = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(bytes)
+    oos.writeObject(op); oos.close()
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[SpoofRowwise]
+
+    val expected = op.execute(inputs)
+    val mainInst = op.exec.get
+    var got: MatrixBlock = null
+    var otherInst: RowExec = null
+    val t = new Thread(() => { got = copy.execute(inputs); otherInst = copy.exec.get })
+    t.start(); t.join()
+    assert(got == expected)
+    assert(mainInst ne otherInst)
+    assert(mainInst.getClass eq otherInst.getClass)
+    assert(mainInst.getClass.getName.startsWith("repro.codegen.GenOp"), mainInst.getClass.getName)
+  }
+
   // ---- plan cache -------------------------------------------------------
   test("plan cache hits on repeated identical DAGs") {
     Codegen.clearCache()

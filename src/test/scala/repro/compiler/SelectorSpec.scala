@@ -96,6 +96,32 @@ class SelectorSpec extends SparkSpec {
     assert(evaluated <= total, s"evaluated $evaluated of $total")
   }
 
+  test("interesting points beyond MaxPoints are counted") {
+    val c = ctx
+    implicit val cc: ExecContext = c
+    val x = c.bindLocal("X", dense(200, 10))
+    val y = c.bindLocal("Y", dense(200, 10, 5))
+    // one shared intermediate with MaxPoints + 2 consumers
+    val shared = (x * y).exp
+    val roots = (1 to Selector.MaxPoints + 2).map(k => (shared * k.toDouble).rowSums.hop)
+    val memo = Explorer.explore(roots)
+    val parts = Partitions.analyze(roots, memo)
+    val dropped = parts.map(p => math.max(0, p.points.size - Selector.MaxPoints)).sum
+    assert(dropped > 0, parts.toString)
+    CodegenStats.reset()
+    parts.foreach(p => Selector.enumeratePartition(roots, memo, p, c.cfg))
+    assert(CodegenStats.pointsCapped.get() == dropped)
+
+    // the small DAGs above (Eq2; a shared intermediate with 3 consumers) stay under the cap
+    CodegenStats.reset()
+    val cse = (x * y).exp
+    for (small <- Seq(eq2DAG(ctx), Seq(cse.rowSums.hop, (cse * 2.0).colSums.hop, cse.sum.hop))) {
+      val m = Explorer.explore(small)
+      Partitions.analyze(small, m).foreach(p => Selector.enumeratePartition(small, m, p, c.cfg))
+    }
+    assert(CodegenStats.pointsCapped.get() == 0)
+  }
+
   test("fuse-all on ALS update covers the outer chain from above (redundant/dense)") {
     val c = new ExecContext(GenMode(FuseAll))
     implicit val cc: ExecContext = c
